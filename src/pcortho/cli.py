@@ -23,6 +23,7 @@ from .errors import (
     SingularGram,
     ZeroMatrix,
 )
+from .inner import FrobeniusInner
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -99,14 +100,15 @@ def _emit(report: dict, args, text_renderer) -> None:
 def cmd_check(args) -> int:
     A = _load_pc(args)
     defect, (i, j) = A.reciprocity_defect()
+    cdefect = model.consistency_defect(A)
     report = {
         "command": "check",
         "n": A.n,
         "reciprocal": bool(defect <= args.reciprocity_tol),
         "worst_reciprocity_defect": defect,
         "worst_pair": [i + 1, j + 1],
-        "consistent": bool(model.consistency_defect(A) <= args.consistency_tol),
-        "worst_consistency_defect": model.consistency_defect(A),
+        "consistent": bool(cdefect <= args.consistency_tol),
+        "worst_consistency_defect": cdefect,
     }
 
     def render(r):
@@ -136,7 +138,7 @@ def cmd_project(args) -> int:
         "input": _rows(A.entries),
         "b_l": _rows(D.B_l.dense()),
         "b_h": _rows(D.B_h.dense()),
-        "inconsistency_ratio": projection.inconsistency_ratio(D.B, W)
+        "inconsistency_ratio": projection.decomposition_ratio(D)
         if D.B.max_abs() > 0 else 0.0,
         "ranking_weights": [float(x) for x in rv.weights],
         "corollary_checks": projection.corollary_checks(D).as_dict(),
@@ -210,10 +212,7 @@ def cmd_basis(args) -> int:
         W = _load_weights(args, n)
         bs = bases.ln_w_basis(n, W)
     if args.normalize_basis:
-        ip = bs.inner_product if bs.inner_product is not None else None
-        from .inner import FrobeniusInner
-
-        ip = ip or FrobeniusInner()
+        ip = bs.inner_product or FrobeniusInner()
         bs.elements = [
             e * (1.0 / np.sqrt(ip(e.dense(), e.dense()))) for e in bs.elements
         ]

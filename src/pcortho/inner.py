@@ -108,9 +108,6 @@ def check_positive_definite(W, sym_tol: float = 1e-10) -> bool:
 class FrobeniusInner:
     """Frobenius inner product on matrices."""
 
-    kind = "frobenius"
-    arity = "matrix"
-
     def __call__(self, a, b) -> float:
         return frobenius(a, b)
 
@@ -120,9 +117,6 @@ class FrobeniusInner:
 
 class WeightedFrobeniusInner:
     """tr(A W B^T) for a fixed symmetric positive definite W."""
-
-    kind = "w-frobenius"
-    arity = "matrix"
 
     def __init__(self, W):
         self.weight = _arr(W)
@@ -136,9 +130,6 @@ class WeightedFrobeniusInner:
 
 class VectorMetricInner:
     """v^T M w for a fixed symmetric positive definite metric M."""
-
-    kind = "vector-metric"
-    arity = "vector"
 
     def __init__(self, M):
         self.metric = _arr(M)

@@ -9,7 +9,6 @@ so skew-symmetry is structural and cannot be broken by rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +30,6 @@ SYMMETRY_TOL = 1e-10
 
 def pair_count(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def order_from_pairs(m: int) -> int:
-    """Matrix order n such that n(n-1)/2 == m, or LengthMismatch."""
-    n = int(round((1 + math.sqrt(1 + 8 * m)) / 2))
-    if n < 2 or pair_count(n) != m:
-        raise LengthMismatch(f"{m} is not a triangular number n(n-1)/2")
-    return n
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Orthogonal decomposition of skew matrices and the induced factorization.
 
 Every skew-symmetric B splits uniquely as B = B_h + B_l with B_l in the
-consistent subspace and B_h in its W-orthogonal complement. For W = I the
-consistent part is the row-average closed form (1/n) f(B 1); for general W
-it is the Fourier expansion over a W-orthogonal basis. Exponentiating
-gives the multiplicative factorization A = phi(B_h) . phi(B_l) (Hadamard
-product) of a reciprocal comparison matrix.
+consistent subspace and B_h in its W-orthogonal complement. B_l = f(v) for
+the v solving one n x n normal-equation system; for W = I this is the
+row-average closed form (1/n) f(B 1), the gradient part of HodgeRank on the
+complete graph. Exponentiating gives the multiplicative factorization
+A = phi(B_h) . phi(B_l) (Hadamard product) of a reciprocal comparison matrix.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSet, hn_membership, ln_w_basis
+from .bases import BasisSet
 from .errors import NotConsistent, ShapeMismatch, SingularGram, ZeroMatrix
-from .inner import FrobeniusInner, WeightedFrobeniusInner, w_frobenius
+from .inner import FrobeniusInner, WeightedFrobeniusInner, metric_matrix, w_frobenius
 from .model import (
     PCMatrix,
     RankingVector,
@@ -73,31 +73,41 @@ def project_ln_closed(B: SkewMatrix) -> SkewMatrix:
 
 
 def project_ln_w(B: SkewMatrix, W: WeightMatrix, basis: BasisSet | None = None) -> SkewMatrix:
-    """W-orthogonal projection of B onto the consistent subspace.
+    """W-orthogonal projection of B onto the consistent subspace, B_l = f(v).
 
-    Fourier expansion over a W-orthogonal basis of l_n; pass a precomputed
-    ``basis`` (from ln_w_basis with the same W) to amortize repeated
-    projections.
+    For sum-zero u, v: tr(f(v) W f(u)^T) = u^T K v with K = metric_matrix(W)
+    - W1 1^T - 1 (W1)^T, and tr(B W f(u)^T) = u^T (BW + WB) 1. So v solves
+    (K + 1 1^T) v = (BW + WB) 1, and K 1 = 0 makes v sum-zero. The paper's
+    Fourier expansion (ln_w_basis) and oracle_project are reference routes;
+    ``basis`` is ignored. Raises SingularGram when the solve fails.
     """
     if W.n != B.n:
         raise ShapeMismatch(f"orders {B.n} and {W.n} differ")
-    if basis is None:
-        basis = ln_w_basis(B.n, W)
-    E = basis.dense_stack()
     Wd = W.entries
-    BW = B.dense() @ Wd
-    EW = E @ Wd
-    num = np.einsum("ij,kij->k", BW, E)
-    den = np.einsum("kij,kij->k", EW, E)
-    out = np.tensordot(num / den, E, axes=1)
-    return SkewMatrix.from_dense(out)
+    W1 = Wd.sum(axis=1)
+    K = metric_matrix(Wd) - W1[:, None] - W1[None, :] + 1.0  # K + 1 1^T
+    try:
+        v = np.linalg.solve(K, _sym_row_sums(B, Wd))
+    except np.linalg.LinAlgError as exc:
+        raise SingularGram("normal equations of the projection are singular") from exc
+    return f_n(v)
+
+
+def _sym_row_sums(B: SkewMatrix, Wd: np.ndarray) -> np.ndarray:
+    """(B W + W B) 1 from two matrix-vector products."""
+    Bd = B.dense()
+    return Bd @ Wd.sum(axis=1) + Wd @ Bd.sum(axis=1)
 
 
 def decompose(B: SkewMatrix, W: WeightMatrix, basis: BasisSet | None = None) -> Decomposition:
-    """Split B into consistent and totally inconsistent parts under W."""
-    B_l = project_ln_w(B, W, basis=basis)
+    """Split B into consistent and totally inconsistent parts under W.
+
+    ``residual_check`` is the orthogonality residual 0.5 max|(B_h W + W B_h) 1|
+    that hn_membership bounds. ``basis`` is ignored.
+    """
+    B_l = project_ln_w(B, W)
     B_h = B - B_l
-    residual = float(np.max(np.abs(B.upper - B_l.upper - B_h.upper)))
+    residual = 0.5 * float(np.max(np.abs(_sym_row_sums(B_h, W.entries))))
     return Decomposition(B, B_l, B_h, W, residual)
 
 
@@ -124,19 +134,26 @@ def ranking(B_l: SkewMatrix, tol: float = 1e-8) -> RankingVector:
 
 
 def inconsistency_ratio(B: SkewMatrix, W: WeightMatrix, basis: BasisSet | None = None) -> float:
-    """Share of B living in the totally inconsistent subspace: ||B_h||_W / ||B||_W."""
+    """Share of B in the totally inconsistent subspace, ||B_h||_W / ||B||_W.
+
+    ``basis`` is ignored.
+    """
     if B.max_abs() == 0.0:
         raise ZeroMatrix("inconsistency ratio undefined for the zero matrix")
-    D = decompose(B, W, basis=basis)
-    num = w_frobenius(D.B_h.dense(), D.B_h.dense(), W.entries)
-    den = w_frobenius(B.dense(), B.dense(), W.entries)
+    return decomposition_ratio(decompose(B, W))
+
+
+def decomposition_ratio(D: Decomposition) -> float:
+    """||B_h||_W / ||B||_W of a decomposition of a nonzero B, clipped to 1."""
+    num = w_frobenius(D.B_h.dense(), D.B_h.dense(), D.W.entries)
+    den = w_frobenius(D.B.dense(), D.B.dense(), D.W.entries)
     return float(min(1.0, np.sqrt(max(num, 0.0) / den)))
 
 
 def oracle_project(B: SkewMatrix, basis: BasisSet, ip) -> SkewMatrix:
     """Projection via the Gram normal equations G c = b, no orthogonalization.
 
-    Independent of the Fourier path: works for any (possibly
+    Independent of project_ln_w: works for any (possibly
     non-orthogonal) spanning set. Raises SingularGram when the Gram matrix
     is numerically singular, which signals a dependent basis.
     """
@@ -169,21 +186,16 @@ def corollary_checks(D: Decomposition) -> CorollaryReport:
 
     Additive: row and column sums of the symmetrized product
     (B_h W + W B_h)/2 vanish, and the corresponding sums for B_l match
-    those for B. For W = I these are exactly the row/column sums of B_h
-    and B_l. Multiplicative (identity weight only): row products of
-    phi(B_h) equal 1 and row products of phi(B_l) match those of phi(B).
+    those for B, all from matrix-vector products. For W = I these are the
+    row/column sums of B_h and B_l. Multiplicative (identity weight only):
+    row products of phi(B_h) equal 1 and row products of phi(B_l) match
+    those of phi(B).
     """
     Wd = D.W.entries
-
-    def sym(Bd):
-        return 0.5 * (Bd @ Wd + Wd @ Bd)
-
-    Sh = sym(D.B_h.dense())
-    Sl = sym(D.B_l.dense())
-    Sb = sym(D.B.dense())
-    h_row = float(np.max(np.abs(Sh.sum(axis=1))))
-    h_col = float(np.max(np.abs(Sh.sum(axis=0))))
-    l_match = float(np.max(np.abs(Sl.sum(axis=1) - Sb.sum(axis=1))))
+    Bh = D.B_h.dense()
+    h_row = 0.5 * float(np.max(np.abs(_sym_row_sums(D.B_h, Wd))))
+    h_col = 0.5 * float(np.max(np.abs(Bh.sum(axis=0) @ Wd + Wd.sum(axis=0) @ Bh)))
+    l_match = 0.5 * float(np.max(np.abs(_sym_row_sums(D.B_l, Wd) - _sym_row_sums(D.B, Wd))))
     h_prod = l_prod = None
     if D.W.is_identity():
         ph = phi(D.B_h).entries.prod(axis=1)

@@ -14,6 +14,7 @@ from pcortho import (
     decompose,
     f_n,
     factor_pc,
+    hn_membership,
     inconsistency_ratio,
     is_additively_consistent,
     is_consistent,
@@ -25,8 +26,9 @@ from pcortho import (
     project_ln_w,
     ranking,
 )
+import pcortho.projection as projection
 from pcortho.bases import BasisSet, complement_vectors, ln_w_basis
-from conftest import random_pd, random_reciprocal, random_skew
+from conftest import ill_conditioned_pd, random_pd, random_reciprocal, random_skew
 
 N3 = SkewMatrix(3, [1.0, -1.0, 1.0])
 I3 = WeightMatrix.identity(3)
@@ -253,13 +255,35 @@ def test_oracle_fixes_span(rng):
 
 
 def test_oracle_matches_projection_random_w(rng):
-    for _ in range(20):
-        n = 4
-        W = WeightMatrix.from_rows(random_pd(rng, n))
+    weights = [random_pd(rng, 4) for _ in range(20)]
+    # ill-conditioned W, as in the benchmark's range
+    weights += [ill_conditioned_pd(rng, n) for n in range(3, 11) for _ in range(3)]
+    for Wd in weights:
+        n = Wd.shape[0]
+        W = WeightMatrix.from_rows(Wd)
         B = random_skew(rng, n)
         a = project_ln_w(B, W)
         b = oracle_project(B, raw_ln_basis(n), WeightedFrobeniusInner(W.entries))
         assert np.max(np.abs(a.upper - b.upper)) <= 1e-9
+        assert hn_membership(B - a, W, tol=1e-9)
+
+
+def test_residual_check_is_orthogonality_residual(rng, monkeypatch):
+    exact = projection.project_ln_w
+    for n in range(3, 11):
+        for Wd in (random_pd(rng, n), ill_conditioned_pd(rng, n)):
+            W = WeightMatrix.from_rows(Wd)
+            B = random_skew(rng, n)
+            # a consistent shift of B_l makes the residual nonzero
+            for shift in (np.zeros(n), 1e-3 * rng.normal(size=n)):
+                monkeypatch.setattr(projection, "project_ln_w",
+                                    lambda B, W, s=shift: exact(B, W) + f_n(s))
+                D = decompose(B, W)
+                Bh = D.B_h.dense()
+                expected = 0.5 * np.max(np.abs((Bh @ Wd + Wd @ Bh).sum(axis=1)))
+                scale = 1.0 + np.max(np.abs(Bh)) * np.max(np.abs(Wd))
+                assert abs(D.residual_check - expected) <= 1e-12 * scale + 1e-9 * expected
+                assert hn_membership(D.B_h, W, tol=1e-9) == (not shift.any())
 
 
 def test_oracle_singular_gram(rng):
