@@ -122,13 +122,10 @@ def incidence_matrix(n: int) -> IncidenceMatrix:
     if n < 2:
         raise OrderTooSmall(f"order {n} < 2")
     m = pair_count(n)
+    iu, ju = np.triu_indices(n, 1)
     P = np.zeros((n, m))
-    e = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            P[i, e] = 1.0
-            P[j, e] = -1.0
-            e += 1
+    P[iu, np.arange(m)] = 1.0
+    P[ju, np.arange(m)] = -1.0
     return IncidenceMatrix(n, m, P)
 
 
@@ -169,17 +166,21 @@ def hn_membership(B: SkewMatrix, W: WeightMatrix | None = None, tol: float = 1e-
     Checked as 0.5 * ||(BW + WB) 1||_inf <= tol * (1 + ||B||_inf * ||W||_inf).
     With W = I this is exactly the row-balance condition ||B 1||_inf <= bound.
     """
-    Bd = B.dense()
     if W is None:
         Wd = np.eye(B.n)
     else:
         if W.n != B.n:
             raise ShapeMismatch(f"orders {B.n} and {W.n} differ")
         Wd = W.entries
-    ones = np.ones(B.n)
-    r = 0.5 * (Bd @ (Wd @ ones) + Wd @ (Bd @ ones))
+    r = 0.5 * sym_row_sums(B, Wd)
     bound = tol * (1.0 + B.max_abs() * float(np.max(np.abs(Wd))))
     return bool(np.max(np.abs(r)) <= bound)
+
+
+def sym_row_sums(B: SkewMatrix, Wd: np.ndarray) -> np.ndarray:
+    """(B W + W B) 1 from two matrix-vector products."""
+    Bd = B.dense()
+    return Bd @ Wd.sum(axis=1) + Wd @ Bd.sum(axis=1)
 
 
 def basis_from_json_dict(d: dict) -> BasisSet:
@@ -199,4 +200,5 @@ __all__ = [
     "incidence_matrix",
     "ln_basis",
     "ln_w_basis",
+    "sym_row_sums",
 ]

@@ -86,10 +86,6 @@ def _load_pc(args) -> model.PCMatrix:
     return A
 
 
-def _rows(a: np.ndarray) -> list[list[float]]:
-    return [[float(x) for x in row] for row in a]
-
-
 def _emit(report: dict, args, text_renderer) -> None:
     if args.output == "json":
         print(json.dumps(report))
@@ -135,12 +131,12 @@ def cmd_project(args) -> int:
     report = {
         "command": "project",
         "n": A.n,
-        "input": _rows(A.entries),
-        "b_l": _rows(D.B_l.dense()),
-        "b_h": _rows(D.B_h.dense()),
+        "input": A.entries.tolist(),
+        "b_l": D.B_l.dense().tolist(),
+        "b_h": D.B_h.dense().tolist(),
         "inconsistency_ratio": projection.decomposition_ratio(D)
         if D.B.max_abs() > 0 else 0.0,
-        "ranking_weights": [float(x) for x in rv.weights],
+        "ranking_weights": rv.weights.tolist(),
         "corollary_checks": projection.corollary_checks(D).as_dict(),
     }
 
@@ -168,8 +164,8 @@ def cmd_factor(args) -> int:
     report = {
         "command": "factor",
         "n": A.n,
-        "phi_b_h": _rows(Fh.entries),
-        "phi_b_l": _rows(Fl.entries),
+        "phi_b_h": Fh.entries.tolist(),
+        "phi_b_l": Fl.entries.tolist(),
     }
 
     def render(r):
@@ -190,8 +186,8 @@ def cmd_rank(args) -> int:
     report = {
         "command": "rank",
         "n": A.n,
-        "logvalues": [float(x) for x in rv.logvalues],
-        "weights": [float(x) for x in rv.weights],
+        "logvalues": rv.logvalues.tolist(),
+        "weights": rv.weights.tolist(),
     }
 
     def render(r):

@@ -238,7 +238,8 @@ def f_n(v) -> SkewMatrix:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size < 2:
         raise OrderTooSmall(f"order {v.size} < 2")
-    return SkewMatrix.from_dense(np.subtract.outer(v, v))
+    iu, ju = np.triu_indices(v.size, 1)
+    return SkewMatrix(v.size, v[iu] - v[ju])
 
 
 def skew_to_half(B: SkewMatrix) -> HalfVector:
@@ -255,10 +256,9 @@ def is_consistent(A: PCMatrix, tol: float = CONSISTENCY_TOL) -> bool:
 
 
 def consistency_defect(A: PCMatrix) -> float:
-    """Worst multiplicative triple violation |m_ij * m_jk / m_ik - 1|."""
+    """Worst triple violation |m_ij * m_jk / m_ik - 1|, one row i at a time in O(n^2) memory."""
     e = A.entries
-    t = e[:, :, None] * e[None, :, :] / e[:, None, :]
-    return float(np.max(np.abs(t - 1.0)))
+    return float(np.max([np.max(np.abs(e[i][:, None] * e / e[i] - 1.0)) for i in range(A.n)]))
 
 
 def is_additively_consistent(B: SkewMatrix, tol: float = CONSISTENCY_TOL) -> bool:
@@ -267,9 +267,9 @@ def is_additively_consistent(B: SkewMatrix, tol: float = CONSISTENCY_TOL) -> boo
 
 
 def additive_defect(B: SkewMatrix) -> float:
+    """Worst triple violation |b_ij + b_jk + b_ki|, one row i at a time in O(n^2) memory."""
     d = B.dense()
-    t = d[:, :, None] + d[None, :, :] + d.T[:, None, :]
-    return float(np.max(np.abs(t)))
+    return float(np.max([np.max(np.abs(d[i][:, None] + d + d[:, i])) for i in range(B.n)]))
 
 
 def consistent_from_weights(w) -> PCMatrix:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BasisSet
+from .bases import BasisSet, sym_row_sums
 from .errors import NotConsistent, ShapeMismatch, SingularGram, ZeroMatrix
 from .inner import FrobeniusInner, WeightedFrobeniusInner, metric_matrix, w_frobenius
 from .model import (
@@ -23,7 +23,6 @@ from .model import (
     SkewMatrix,
     WeightMatrix,
     f_n,
-    is_additively_consistent,
     mu,
     phi,
 )
@@ -87,16 +86,10 @@ def project_ln_w(B: SkewMatrix, W: WeightMatrix, basis: BasisSet | None = None) 
     W1 = Wd.sum(axis=1)
     K = metric_matrix(Wd) - W1[:, None] - W1[None, :] + 1.0  # K + 1 1^T
     try:
-        v = np.linalg.solve(K, _sym_row_sums(B, Wd))
+        v = np.linalg.solve(K, sym_row_sums(B, Wd))
     except np.linalg.LinAlgError as exc:
         raise SingularGram("normal equations of the projection are singular") from exc
     return f_n(v)
-
-
-def _sym_row_sums(B: SkewMatrix, Wd: np.ndarray) -> np.ndarray:
-    """(B W + W B) 1 from two matrix-vector products."""
-    Bd = B.dense()
-    return Bd @ Wd.sum(axis=1) + Wd @ Bd.sum(axis=1)
 
 
 def decompose(B: SkewMatrix, W: WeightMatrix, basis: BasisSet | None = None) -> Decomposition:
@@ -107,7 +100,7 @@ def decompose(B: SkewMatrix, W: WeightMatrix, basis: BasisSet | None = None) -> 
     """
     B_l = project_ln_w(B, W)
     B_h = B - B_l
-    residual = 0.5 * float(np.max(np.abs(_sym_row_sums(B_h, W.entries))))
+    residual = 0.5 * float(np.max(np.abs(sym_row_sums(B_h, W.entries))))
     return Decomposition(B, B_l, B_h, W, residual)
 
 
@@ -126,11 +119,15 @@ def ranking(B_l: SkewMatrix, tol: float = 1e-8) -> RankingVector:
 
     The unique sum-zero v with f(v) = B_l is the row-mean vector
     (1/n) B_l 1; weights are its normalized exponentials. Raises
-    NotConsistent when B_l fails the additive triple test at ``tol``.
+    NotConsistent unless the reconstruction residual R = B_l - f(v) has
+    max|R| <= tol (a NaN entry raises too). R_ij is the mean over k of
+    the triple sums b_ij + b_jk + b_ki, and each triple sum is
+    R_ij + R_jk + R_ki, so max|R| <= worst triple <= 3 max|R|.
     """
-    if not is_additively_consistent(B_l, tol):
+    v = B_l.row_sums() / B_l.n
+    if not np.max(np.abs(B_l.upper - f_n(v).upper)) <= tol:
         raise NotConsistent(f"input is not additively consistent at tol {tol:.1e}")
-    return RankingVector.from_logvalues(B_l.row_sums() / B_l.n)
+    return RankingVector.from_logvalues(v)
 
 
 def inconsistency_ratio(B: SkewMatrix, W: WeightMatrix, basis: BasisSet | None = None) -> float:
@@ -145,8 +142,9 @@ def inconsistency_ratio(B: SkewMatrix, W: WeightMatrix, basis: BasisSet | None =
 
 def decomposition_ratio(D: Decomposition) -> float:
     """||B_h||_W / ||B||_W of a decomposition of a nonzero B, clipped to 1."""
-    num = w_frobenius(D.B_h.dense(), D.B_h.dense(), D.W.entries)
-    den = w_frobenius(D.B.dense(), D.B.dense(), D.W.entries)
+    Bh, B = D.B_h.dense(), D.B.dense()
+    num = w_frobenius(Bh, Bh, D.W.entries)
+    den = w_frobenius(B, B, D.W.entries)
     return float(min(1.0, np.sqrt(max(num, 0.0) / den)))
 
 
@@ -193,9 +191,8 @@ def corollary_checks(D: Decomposition) -> CorollaryReport:
     """
     Wd = D.W.entries
     Bh = D.B_h.dense()
-    h_row = 0.5 * float(np.max(np.abs(_sym_row_sums(D.B_h, Wd))))
     h_col = 0.5 * float(np.max(np.abs(Bh.sum(axis=0) @ Wd + Wd.sum(axis=0) @ Bh)))
-    l_match = 0.5 * float(np.max(np.abs(_sym_row_sums(D.B_l, Wd) - _sym_row_sums(D.B, Wd))))
+    l_match = 0.5 * float(np.max(np.abs(sym_row_sums(D.B_l, Wd) - sym_row_sums(D.B, Wd))))
     h_prod = l_prod = None
     if D.W.is_identity():
         ph = phi(D.B_h).entries.prod(axis=1)
@@ -203,4 +200,4 @@ def corollary_checks(D: Decomposition) -> CorollaryReport:
         pb = phi(D.B).entries.prod(axis=1)
         h_prod = float(np.max(np.abs(ph - 1.0)))
         l_prod = float(np.max(np.abs(pl / pb - 1.0)))
-    return CorollaryReport(h_row, h_col, l_match, h_prod, l_prod)
+    return CorollaryReport(D.residual_check, h_col, l_match, h_prod, l_prod)

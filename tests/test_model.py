@@ -20,6 +20,7 @@ from pcortho import (
     skew_to_half,
     symmetrize,
 )
+from pcortho.model import additive_defect, consistency_defect
 from conftest import random_reciprocal, random_skew
 
 LN2 = math.log(2.0)
@@ -181,3 +182,29 @@ def test_skew_storage_is_structural(rng):
     d = B.dense()
     assert np.array_equal(d, -d.T)
     assert np.array_equal(np.diag(d), np.zeros(6))
+
+
+def broadcast_consistency_defect(A):
+    # reference: the whole n x n x n triple tensor at once
+    e = A.entries
+    t = e[:, :, None] * e[None, :, :] / e[:, None, :]
+    return float(np.max(np.abs(t - 1.0)))
+
+
+def broadcast_additive_defect(B):
+    d = B.dense()
+    t = d[:, :, None] + d[None, :, :] + d.T[:, None, :]
+    return float(np.max(np.abs(t)))
+
+
+def test_defects_match_broadcast_formula_exactly(rng):
+    for n in range(2, 13):
+        for scale in (1e-9, 1.0, 4.0):
+            B = random_skew(rng, n, scale)
+            consistent = f_n(rng.normal(scale=scale, size=n))
+            raw = PCMatrix(n, np.exp(rng.uniform(-scale, scale, size=(n, n))))
+            assert not raw.is_reciprocal() or scale < 1e-6
+            for C in (B, consistent):
+                assert additive_defect(C) == broadcast_additive_defect(C)
+            for A in (phi(B), phi(consistent), raw):
+                assert consistency_defect(A) == broadcast_consistency_defect(A)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from pcortho import (
 )
 import pcortho.projection as projection
 from pcortho.bases import BasisSet, complement_vectors, ln_w_basis
+from pcortho.model import additive_defect, consistency_defect
 from conftest import ill_conditioned_pd, random_pd, random_reciprocal, random_skew
 
 N3 = SkewMatrix(3, [1.0, -1.0, 1.0])
@@ -225,6 +228,34 @@ def test_ranking_round_trip(rng):
 def test_ranking_rejects_inconsistent():
     with pytest.raises(NotConsistent):
         ranking(N3)
+    with pytest.raises(NotConsistent):
+        ranking(SkewMatrix(4, [0.0, 0.0, 0.0, 0.0, 0.0, np.nan]))
+
+
+def test_ranking_residual_brackets_worst_triple(rng):
+    # R = B - f(B1/n) is the mean of the triple sums over the third index
+    for _ in range(200):
+        n = int(rng.integers(2, 13))
+        B = random_skew(rng, n, 10.0 ** rng.uniform(-10, 1)) + f_n(rng.normal(size=n))
+        r = float(np.max(np.abs(B.upper - f_n(B.row_sums() / n).upper)))
+        worst = additive_defect(B)
+        assert r <= worst + 1e-12 and worst <= 3 * r + 1e-12
+        ranking(B, tol=r)
+        with pytest.raises(NotConsistent):
+            ranking(B, tol=np.nextafter(r, -1.0))
+
+
+def test_defects_and_ranking_memory_is_quadratic(rng):
+    n = 200  # one n x n x n float64 array would be 64 MB
+    B = random_skew(rng, n)
+    for fn, arg in ((consistency_defect, phi(B)), (additive_defect, B), (ranking, f_n(B.row_sums()))):
+        tracemalloc.start()
+        try:
+            fn(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (fn.__name__, peak)
 
 
 def test_inconsistency_ratio_extremes():
